@@ -1,5 +1,6 @@
 //! Storage-engine fast path: the cost-based query planner and the WAL
-//! group commit against seed-replica baselines.
+//! group commit against seed-replica baselines, plus the committed
+//! point-update cost at two table sizes (`storage/write/*`).
 //!
 //! The `*/reference` ids reimplement the pre-planner engine inline — a
 //! full scan that clones every row before filtering, and a WAL writer
@@ -10,7 +11,7 @@
 
 use amp_simdb::db::LogOp;
 use amp_simdb::wal::Wal;
-use amp_simdb::{Column, Database, Op, Query, Row, TableSchema, Value, ValueType};
+use amp_simdb::{Column, Database, Db, Op, Query, Role, Row, TableSchema, Value, ValueType};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::io::Write;
@@ -271,5 +272,68 @@ fn bench_wal(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, bench_read_path, bench_wal);
+/// An in-memory (durable off) sharded `Db` holding `rows` rows of an
+/// indexed table: a unique tag, a 16-value site, a high-cardinality `v`
+/// and a 4-value status.
+fn write_fixture(rows: i64) -> Db {
+    let db = Db::in_memory();
+    db.define_role(Role::superuser("admin"));
+    let admin = db.connect("admin").unwrap();
+    admin
+        .create_table(TableSchema::new(
+            "obs",
+            vec![
+                Column::new("tag", ValueType::Text).not_null().unique(),
+                Column::new("site", ValueType::Text).indexed().not_null(),
+                Column::new("v", ValueType::Int).indexed().not_null(),
+                Column::new("status", ValueType::Text).indexed().not_null(),
+            ],
+        ))
+        .unwrap();
+    admin
+        .transaction(&["obs"], |tx| {
+            for i in 0..rows {
+                tx.insert(
+                    "obs",
+                    &[
+                        ("tag", format!("t{i}").into()),
+                        ("site", format!("s{}", i % 16).into()),
+                        ("v", Value::Int((i * 7919) % rows)),
+                        (
+                            "status",
+                            ["QUEUED", "RUNNING", "DONE", "HOLD"][i as usize % 4].into(),
+                        ),
+                    ],
+                )?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    db
+}
+
+/// One committed point update of the status column per iteration: the
+/// daemon's workflow-step write. Its cost should not grow with the table.
+fn bench_write_path(c: &mut Criterion) {
+    let mut g = c.benchmark_group("storage/write");
+    g.sample_size(200);
+    for (name, rows) in [("point_update_1k", 1_000i64), ("point_update_32k", 32_000)] {
+        let db = write_fixture(rows);
+        let admin = db.connect("admin").unwrap();
+        let mut i = 0i64;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                i += 1;
+                let id = (i * 7_919) % rows + 1;
+                let status = ["QUEUED", "RUNNING", "DONE", "HOLD"][(i % 4) as usize];
+                admin
+                    .update("obs", black_box(id), &[("status", status.into())])
+                    .unwrap();
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_read_path, bench_wal, bench_write_path);
 criterion_main!(benches);

@@ -641,7 +641,7 @@ fn main() {
   "recorded": "2026-08-09",
   "command": "cargo run --release -p amp-bench --bin report_contention",
   "machine": "1-core linux container (CI-class), ext4-backed temp dir for snapshot + WAL files",
-  "notes": "Closed-loop readers over a paced background write stream on a durable db: {READERS} reader threads each scan a 25-row band of a {CATALOG_ROWS}-row catalog table as fast as results return, while {WRITERS} writer threads apply a fixed write budget ({WRITE_RATE:.0} inserts/s total; {ARCHIVE_WRITE_RATE:.0}/s for archive point updates) modeling daemon traffic — pacing the writers is what makes reads/s comparable on a 1-core host, since with closed-loop writers the read share just inversely measures write-path speed. global_lock emulates the seed's RwLock<Database> with an external whole-process RwLock: exclusive around every write and around the whole compaction, shared around reads. mvcc is the engine as shipped: reads pin published table versions with atomic loads (no lock), writers serialize per table, and compaction snapshots pinned versions and truncates the WAL per table, blocking neither readers nor writers. Phases: steady (background inserts, no checkpointer), checkpointed (plus a checkpointer compacting every {CHECKPOINT_EVERY} committed writes over a database dominated by a large archive table, with each write batch also point-updating one archive row so every snapshot genuinely re-encodes the big table rather than reusing the engine's clean-table encode cache — where the seed's exclusive compaction collapses reads), read_mostly (writer threads interleave 19 catalog reads per insert, the portal's 95/5 profile, closed-loop), archive_update (paced point updates against the 30k-row archive — copy-on-write's worst case; each update clones one row chunk, not the table). The run also asserts the invariant behind the ratios directly: a pure-read burst leaves the writer-path lock-wait histogram untouched. The write side is gated, not just reported: each durable paced phase must hold write_throughput_ratio >= 0.9. Three mechanisms carry that bar — per-transaction delta write-buffers (a commit materializes only the rows it touched into per-row Arc'd chunks, so an archive point update copies one row, not a 256-row chunk; simdb_rows_copied_per_write tracks this), cross-writer group commit (a leader thread drains every queued WAL record and issues one fdatasync on behalf of all concurrently committing writers — simdb_group_commit_writers records how many each flush covered), and rollback-by-drop (an aborted transaction discards its buffer; the published spine was never touched). Before these landed the MVCC mode moved ~0.5x of the global mode's durable write budget because every writer paid its own fsync while readers, never blocked, kept the CPU busy.",
+  "notes": "Closed-loop readers over a paced background write stream on a durable db: {READERS} reader threads each scan a 25-row band of a {CATALOG_ROWS}-row catalog table as fast as results return, while {WRITERS} writer threads apply a fixed write budget ({WRITE_RATE:.0} inserts/s total; {ARCHIVE_WRITE_RATE:.0}/s for archive point updates) modeling daemon traffic — pacing the writers is what makes reads/s comparable on a 1-core host, since with closed-loop writers the read share just inversely measures write-path speed. global_lock emulates the seed's RwLock<Database> with an external whole-process RwLock: exclusive around every write and around the whole compaction, shared around reads. mvcc is the engine as shipped: reads pin published table versions with atomic loads (no lock), writers serialize per table, and compaction snapshots pinned versions and truncates the WAL per table, blocking neither readers nor writers. Phases: steady (background inserts, no checkpointer), checkpointed (plus a checkpointer compacting every {CHECKPOINT_EVERY} committed writes over a database dominated by a large archive table, with each write batch also point-updating one archive row so every snapshot genuinely re-encodes the big table rather than reusing the engine's clean-table encode cache — where the seed's exclusive compaction collapses reads), read_mostly (writer threads interleave 19 catalog reads per insert, the portal's 95/5 profile, closed-loop), archive_update (paced point updates against the 30k-row archive — copy-on-write's worst case; each update materializes one row and re-links one 256-row chunk's row pointers; the archive table is unindexed, so no index entry is copied). The run also asserts the invariant behind the ratios directly: a pure-read burst leaves the writer-path lock-wait histogram untouched. The write side is gated, not just reported: each durable paced phase must hold write_throughput_ratio >= 0.9. Three mechanisms carry that bar — per-transaction delta write-buffers (a commit materializes only the rows it touched into per-row Arc'd chunks, so an archive point update copies one row, not a 256-row chunk; simdb_rows_copied_per_write tracks this), cross-writer group commit (a leader thread drains every queued WAL record and issues one fdatasync on behalf of all concurrently committing writers — simdb_group_commit_writers records how many each flush covered), and rollback-by-drop (an aborted transaction discards its buffer; the published spine was never touched). Before these landed the MVCC mode moved ~0.5x of the global mode's durable write budget because every writer paid its own fsync while readers, never blocked, kept the CPU busy.",
   "results": {{
 {json_phases}    "acceptance": "steady read_throughput_ratio > 1.0, checkpointed read_throughput_ratio >= 2.5, and write_throughput_ratio >= 0.9 in steady, checkpointed, and archive_update"
   }}

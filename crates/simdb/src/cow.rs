@@ -1,0 +1,359 @@
+//! `CowMap`: a chunked copy-on-write ordered map.
+//!
+//! The map is a *spine* of `Arc`'d sorted chunks, each paired with a lower
+//! bound of its keys, and the spine itself sits behind an `Arc`. Cloning a
+//! map is one reference-count bump. The first write after a clone copies
+//! the spine (one `Arc` bump per chunk, no entries) and then the one chunk
+//! it touches, so a write copies one chunk however large the map is. A
+//! chunk splits when it outgrows its capacity and is dropped when it
+//! empties.
+//!
+//! The spine is a sorted `Vec` searched by binary search rather than a
+//! `BTreeMap`: both are copied whole after a clone, and the `Vec` copy is
+//! one allocation and a pass of pointer bumps, where a `BTreeMap` clone
+//! allocates and walks a node per 11 chunks. A committed point update on a
+//! 32k-row table measured 20.6–24.9 µs with a `BTreeMap` spine and
+//! 15.3–15.9 µs with the `Vec`.
+//!
+//! Chunks hold [`CHUNK_BYTES`] of entries: 256 rows of `(id, Arc<Row>)`,
+//! 512 ids of a posting list, 85 `(value, postings)` index entries. Small
+//! entries get long chunks, so a large posting list keeps a short spine,
+//! while a chunk copy stays one small, fixed-size memory copy.
+//!
+//! Table storage is built from this type: row storage, each index's
+//! value → postings map, and each long posting list of row ids. Entries
+//! deep-copied out of shared chunks are counted, so the commit path can
+//! report index write amplification (`take_copied`).
+
+use std::ops::Bound;
+use std::sync::Arc;
+
+/// Bytes of entries per chunk. A write copies one chunk; a write after a
+/// clone also copies the spine's `len / capacity` chunk pointers.
+const CHUNK_BYTES: usize = 4096;
+
+type Chunk<K, V> = Vec<(K, V)>;
+
+/// `(bound, chunk)` pairs in key order. A chunk's bound is `<=` its first
+/// key and `>` every key of the chunk before it: its first key when built
+/// or split, and left as is when that entry is removed.
+type Spine<K, V> = Vec<(K, Arc<Chunk<K, V>>)>;
+
+#[derive(Debug)]
+pub(crate) struct CowMap<K, V> {
+    spine: Arc<Spine<K, V>>,
+    len: usize,
+    /// Entries deep-copied out of shared chunks since the last
+    /// [`Self::take_copied`].
+    copied: u64,
+}
+
+impl<K, V> Clone for CowMap<K, V> {
+    fn clone(&self) -> Self {
+        // The copy counter belongs to one mutation stream, so a clone (a
+        // transaction buffer, a published version) starts its own count.
+        CowMap {
+            spine: Arc::clone(&self.spine),
+            len: self.len,
+            copied: 0,
+        }
+    }
+}
+
+impl<K, V> Default for CowMap<K, V> {
+    fn default() -> Self {
+        CowMap {
+            spine: Arc::new(Vec::new()),
+            len: 0,
+            copied: 0,
+        }
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
+    /// Entries per chunk.
+    pub(crate) const CAP: usize = {
+        let n = CHUNK_BYTES / std::mem::size_of::<(K, V)>();
+        if n < 8 {
+            8
+        } else {
+            n
+        }
+    };
+
+    /// Bulk-build from entries in strictly ascending key order, filling
+    /// every chunk to capacity.
+    pub fn from_sorted(entries: impl IntoIterator<Item = (K, V)>) -> Self {
+        let mut spine = Vec::new();
+        let mut len = 0;
+        let mut chunk: Chunk<K, V> = Vec::with_capacity(Self::CAP);
+        for (k, v) in entries {
+            debug_assert!(
+                chunk.last().is_none_or(|(p, _)| *p < k),
+                "keys not ascending"
+            );
+            chunk.push((k, v));
+            len += 1;
+            if chunk.len() == Self::CAP {
+                let full = std::mem::replace(&mut chunk, Vec::with_capacity(Self::CAP));
+                spine.push((full[0].0.clone(), Arc::new(full)));
+            }
+        }
+        if !chunk.is_empty() {
+            spine.push((chunk[0].0.clone(), Arc::new(chunk)));
+        }
+        CowMap {
+            spine: Arc::new(spine),
+            len,
+            copied: 0,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Spine position of the chunk that holds `key` if any chunk does: the
+    /// last one whose bound is `<= key`.
+    fn chunk_for(&self, key: &K) -> Option<usize> {
+        self.spine
+            .partition_point(|(first, _)| first <= key)
+            .checked_sub(1)
+    }
+
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let chunk = &self.spine[self.chunk_for(key)?].1;
+        let pos = search(chunk, key).ok()?;
+        Some(&chunk[pos].1)
+    }
+
+    /// Mutable access to the value under `key`, copying its chunk if the
+    /// chunk is shared. A miss copies nothing.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let at = self.chunk_for(key)?;
+        let pos = search(&self.spine[at].1, key).ok()?;
+        Some(&mut self.chunk_mut(at)[pos].1)
+    }
+
+    /// The chunk at spine position `at`, made unique: the spine is copied
+    /// if shared (pointer bumps only), then the chunk (entries, counted).
+    fn chunk_mut(&mut self, at: usize) -> &mut Chunk<K, V> {
+        let chunk = &mut Arc::make_mut(&mut self.spine)[at].1;
+        if Arc::get_mut(chunk).is_none() {
+            self.copied += chunk.len() as u64;
+        }
+        Arc::make_mut(chunk)
+    }
+
+    /// Insert or replace, returning the previous value.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let at = match self.chunk_for(&key) {
+            Some(at) => at,
+            None if self.spine.is_empty() => {
+                Arc::make_mut(&mut self.spine).push((key.clone(), Arc::new(Vec::new())));
+                0
+            }
+            // `key` precedes every bound: it becomes the first chunk's.
+            None => {
+                Arc::make_mut(&mut self.spine)[0].0 = key.clone();
+                0
+            }
+        };
+        let chunk = self.chunk_mut(at);
+        let pos = match search(chunk, &key) {
+            Ok(pos) => return Some(std::mem::replace(&mut chunk[pos].1, value)),
+            Err(pos) => pos,
+        };
+        chunk.insert(pos, (key, value));
+        if chunk.len() > Self::CAP {
+            // Appending at a chunk's end (ascending ids, new values past the
+            // last) splits off just the new entry so sequential growth keeps
+            // chunks full; anything else splits in half.
+            let split = if pos == Self::CAP {
+                pos
+            } else {
+                chunk.len() / 2
+            };
+            let tail = chunk.split_off(split);
+            let first = tail[0].0.clone();
+            Arc::make_mut(&mut self.spine).insert(at + 1, (first, Arc::new(tail)));
+        }
+        self.len += 1;
+        None
+    }
+
+    /// Remove `key`, copying its chunk only if the key is present.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let at = self.chunk_for(key)?;
+        let pos = search(&self.spine[at].1, key).ok()?;
+        let chunk = self.chunk_mut(at);
+        let (_, value) = chunk.remove(pos);
+        if chunk.is_empty() {
+            Arc::make_mut(&mut self.spine).remove(at);
+        }
+        self.len -= 1;
+        Some(value)
+    }
+
+    /// All entries in ascending key order (reversible).
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&K, &V)> {
+        self.spine
+            .iter()
+            .flat_map(|(_, c)| c.iter().map(|(k, v)| (k, v)))
+    }
+
+    /// Entries whose keys fall within the bounds, ascending.
+    pub fn range<'a>(
+        &'a self,
+        lower: Bound<&'a K>,
+        upper: Bound<&'a K>,
+    ) -> impl Iterator<Item = (&'a K, &'a V)> + 'a {
+        let below = move |k: &K| match lower {
+            Bound::Included(q) => k < q,
+            Bound::Excluded(q) => k <= q,
+            Bound::Unbounded => false,
+        };
+        // Binary-search the first entry: the chunk, then its position.
+        let at = match lower {
+            Bound::Included(q) | Bound::Excluded(q) => self.chunk_for(q).unwrap_or(0),
+            Bound::Unbounded => 0,
+        };
+        let pos = self
+            .spine
+            .get(at)
+            .map_or(0, |(_, c)| c.partition_point(|(k, _)| below(k)));
+        self.spine[at..]
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, (_, c))| c[if i == 0 { pos } else { 0 }..].iter())
+            .take_while(move |(k, _)| match upper {
+                Bound::Included(q) => k <= q,
+                Bound::Excluded(q) => k < q,
+                Bound::Unbounded => true,
+            })
+            .map(|(k, v)| (k, v))
+    }
+
+    /// Drain the copied-entries counter.
+    pub fn take_copied(&mut self) -> u64 {
+        std::mem::take(&mut self.copied)
+    }
+
+    /// Add copies made by a map nested inside one of this map's values.
+    pub fn add_copied(&mut self, n: u64) {
+        self.copied += n;
+    }
+}
+
+fn search<K: Ord, V>(chunk: &[(K, V)], key: &K) -> Result<usize, usize> {
+    chunk.binary_search_by(|(k, _)| k.cmp(key))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::ops::RangeBounds;
+
+    const CAP: usize = CowMap::<i64, ()>::CAP;
+
+    fn keys(m: &CowMap<i64, ()>) -> Vec<i64> {
+        m.iter().map(|(k, _)| *k).collect()
+    }
+
+    /// Chunks are non-empty, within capacity, bounded below by their
+    /// spine key, and ordered across the spine; `len` matches.
+    fn check(m: &CowMap<i64, ()>) {
+        let mut prev: Option<i64> = None;
+        let mut n = 0;
+        for (first, c) in m.spine.iter() {
+            assert!(!c.is_empty() && c.len() <= CAP);
+            assert!(*first <= c[0].0);
+            assert!(prev.is_none_or(|p| p < *first));
+            for (k, _) in c.iter() {
+                assert!(prev.is_none_or(|p| p < *k));
+                prev = Some(*k);
+                n += 1;
+            }
+        }
+        assert_eq!(n, m.len());
+    }
+
+    #[test]
+    fn matches_btreemap_under_mixed_writes() {
+        let mut m = CowMap::default();
+        let mut oracle = std::collections::BTreeMap::new();
+        // A deterministic scramble over 0..2000 with repeats.
+        let mut x: i64 = 7;
+        for step in 0..6000 {
+            x = (x * 1103515245 + 12345).rem_euclid(2000);
+            if step % 3 == 2 {
+                assert_eq!(m.remove(&x), oracle.remove(&x));
+            } else {
+                assert_eq!(m.insert(x, ()), oracle.insert(x, ()));
+            }
+        }
+        check(&m);
+        assert_eq!(keys(&m), oracle.keys().copied().collect::<Vec<_>>());
+        for k in 0..2000 {
+            assert_eq!(m.get(&k).is_some(), oracle.contains_key(&k));
+        }
+        let (lo, hi) = (-5, 2_005);
+        for (a, b) in [
+            (500, 900),
+            (lo, 3),
+            (1_990, hi),
+            (lo, hi),
+            (700, 700),
+            (9, 8),
+        ] {
+            for lower in [Bound::Included(&a), Bound::Excluded(&a), Bound::Unbounded] {
+                for upper in [Bound::Included(&b), Bound::Excluded(&b), Bound::Unbounded] {
+                    let got: Vec<i64> = m.range(lower, upper).map(|(k, _)| *k).collect();
+                    let want: Vec<i64> = oracle
+                        .keys()
+                        .copied()
+                        .filter(|k| (lower, upper).contains(k))
+                        .collect();
+                    assert_eq!(got, want, "range {lower:?}..{upper:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_inserts_fill_chunks() {
+        let mut m = CowMap::default();
+        for k in 0..(CAP as i64 * 4) {
+            m.insert(k, ());
+        }
+        check(&m);
+        assert_eq!(m.spine.len(), 4);
+        let built = CowMap::from_sorted((0..(CAP as i64 * 4)).map(|k| (k, ())));
+        check(&built);
+        assert_eq!(keys(&built), keys(&m));
+    }
+
+    #[test]
+    fn a_write_after_clone_copies_one_chunk_and_leaves_the_clone() {
+        let mut m = CowMap::from_sorted((0..10_000i64).map(|k| (k, ())));
+        let pinned = m.clone();
+        m.remove(&5_000);
+        m.insert(20_000, ());
+        assert!(m.take_copied() <= 2 * CAP as u64);
+        assert!(pinned.get(&5_000).is_some() && pinned.get(&20_000).is_none());
+        assert_eq!(pinned.len(), 10_000);
+        // A miss copies nothing.
+        let mut again = m.clone();
+        assert!(again.remove(&5_000).is_none());
+        assert_eq!(again.take_copied(), 0);
+    }
+
+    #[test]
+    fn removing_every_entry_empties_the_spine() {
+        let mut m = CowMap::from_sorted((0..300i64).map(|k| (k, ())));
+        for k in (0..300).rev() {
+            m.remove(&k);
+        }
+        assert!(m.len() == 0 && m.spine.is_empty());
+    }
+}

@@ -429,7 +429,7 @@ pub(crate) mod ops {
         for (ref_table, ci, on_delete) in ts.referencing_columns(table) {
             let t = ts.table_ref(&ref_table)?;
             let refs: Vec<i64> = match t.find_indexed(ci, &Value::Int(id)) {
-                Some(hits) => hits.to_vec(),
+                Some(hits) => hits,
                 None => t
                     .iter()
                     .filter(|(_, r)| r[ci] == Value::Int(id))

@@ -67,6 +67,7 @@
 //! ```
 
 pub mod admin;
+pub(crate) mod cow;
 pub mod db;
 pub mod error;
 pub(crate) mod obs;

@@ -24,6 +24,11 @@ pub(crate) struct SimdbMetrics {
     /// tracks rows *touched*; a regression to chunk-granularity copying
     /// shows up as a ~256x jump on point updates.
     pub rows_copied_per_write: Histogram,
+    /// Index entries deep-copied out of shared index chunks per committed
+    /// write transaction — the index half of write amplification. A point
+    /// update copies a few chunks; a regression to whole-index copying
+    /// shows up as a jump to O(rows).
+    pub index_entries_copied_per_write: Histogram,
 }
 
 pub(crate) fn metrics() -> &'static SimdbMetrics {
@@ -35,6 +40,8 @@ pub(crate) fn metrics() -> &'static SimdbMetrics {
             .histogram("simdb_group_commit_writers", Unit::Count),
         rows_copied_per_write: amp_obs::registry()
             .histogram("simdb_rows_copied_per_write", Unit::Count),
+        index_entries_copied_per_write: amp_obs::registry()
+            .histogram("simdb_index_entries_copied_per_write", Unit::Count),
     })
 }
 

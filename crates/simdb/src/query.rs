@@ -355,14 +355,14 @@ impl Query {
         let keys = self.order_keys(&table.schema);
         let descending = self.order_by[0].descending;
         let mut out: Vec<(i64, &Row)> = Vec::new();
-        let groups: Box<dyn Iterator<Item = &Vec<i64>>> = if descending {
-            Box::new(index.values().rev())
+        let groups: Box<dyn Iterator<Item = _>> = if descending {
+            Box::new(index.iter().rev())
         } else {
-            Box::new(index.values())
+            Box::new(index.iter())
         };
-        for ids in groups {
+        for (_, ids) in groups {
             let start = out.len();
-            for &id in ids {
+            for id in ids.iter() {
                 if let Some(r) = table.get(id) {
                     if matches(r) {
                         out.push((id, r));
@@ -418,9 +418,7 @@ impl Query {
         for (f, &ci) in self.filters.iter().zip(idx.iter()) {
             match &f.op {
                 Op::Eq => {
-                    if let Some(hits) = table.find_indexed(ci, &f.value) {
-                        let mut ids = hits.to_vec();
-                        ids.sort_unstable();
+                    if let Some(ids) = table.find_indexed(ci, &f.value) {
                         sets.push((f.column.clone(), ids));
                     }
                 }
@@ -441,7 +439,7 @@ impl Query {
                         let mut ids: Vec<i64> = Vec::new();
                         for v in vals {
                             if let Some(hits) = table.find_indexed(ci, v) {
-                                ids.extend_from_slice(hits);
+                                ids.extend(hits);
                             }
                         }
                         ids.sort_unstable();
@@ -745,8 +743,8 @@ enum Feasibility {
     Scan,
 }
 
-/// Detect contradictory bounds (`> 5 AND < 3`) before handing them to
-/// `BTreeMap::range`, which panics on inverted ranges.
+/// Detect contradictory bounds (`> 5 AND < 3`) so they plan as
+/// [`Plan::Empty`] without walking the index.
 fn bounds_feasible(lower: &Bound<Value>, upper: &Bound<Value>) -> Feasibility {
     let (lv, l_excl) = match lower {
         Bound::Unbounded => return Feasibility::Scan,

@@ -93,6 +93,11 @@ impl Column {
         self
     }
 
+    /// True if the column carries an index: unique, indexed, or FK.
+    pub fn is_indexed(&self) -> bool {
+        self.unique || self.indexed || self.foreign_key.is_some()
+    }
+
     /// Validate a candidate cell value against this column's constraints
     /// (type, nullability, text length). Uniqueness and FK existence are
     /// table/database-level checks.
