@@ -1,6 +1,8 @@
 //! Storage-engine fast path: the cost-based query planner and the WAL
 //! group commit against seed-replica baselines, plus the committed
-//! point-update cost at two table sizes (`storage/write/*`).
+//! point-update cost at two table sizes (`storage/write/*`) and the cost
+//! of a checkpoint with and without reusable row chunks
+//! (`storage/compact/*`).
 //!
 //! The `*/reference` ids reimplement the pre-planner engine inline — a
 //! full scan that clones every row before filtering, and a WAL writer
@@ -276,7 +278,10 @@ fn bench_wal(c: &mut Criterion) {
 /// indexed table: a unique tag, a 16-value site, a high-cardinality `v`
 /// and a 4-value status.
 fn write_fixture(rows: i64) -> Db {
-    let db = Db::in_memory();
+    fill_fixture(Db::in_memory(), rows)
+}
+
+fn fill_fixture(db: Db, rows: i64) -> Db {
     db.define_role(Role::superuser("admin"));
     let admin = db.connect("admin").unwrap();
     admin
@@ -335,5 +340,66 @@ fn bench_write_path(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_read_path, bench_wal, bench_write_path);
+/// Rows per simdb row chunk (the snapshot chunk cache's unit of reuse).
+const ROW_CHUNK: i64 = amp_simdb::table::ROWS_PER_CHUNK as i64;
+
+/// One checkpoint (`Db::compact`: snapshot file plus WAL truncation) of a
+/// durable 32k-row table per iteration, after the iteration's writes.
+/// `cold_32k` first writes one row in every row chunk, so no encoded chunk
+/// can be reused: the cost of a first checkpoint. `after_point_update_32k`
+/// first writes one row, so one chunk is re-encoded and the rest copied.
+/// `clean_32k` writes nothing: the floor every checkpoint pays to rewrite
+/// the whole file.
+fn bench_compact(c: &mut Criterion) {
+    const ROWS: i64 = 32_000;
+    let dir = std::env::temp_dir().join(format!("amp_bench_compact_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut g = c.benchmark_group("storage/compact");
+    g.sample_size(30);
+    let cases = [
+        ("cold_32k", Some(ROW_CHUNK)),
+        ("after_point_update_32k", Some(ROWS)),
+        ("clean_32k", None),
+    ];
+    for (name, stride) in cases {
+        let db = Db::open(
+            dir.join(format!("{name}.snap")),
+            dir.join(format!("{name}.wal")),
+        )
+        .unwrap();
+        let db = fill_fixture(db, ROWS);
+        db.compact().unwrap();
+        let admin = db.connect("admin").unwrap();
+        let mut i = 0i64;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                i += 1;
+                let status = ["QUEUED", "RUNNING", "DONE", "HOLD"][(i % 4) as usize];
+                if let Some(stride) = stride {
+                    admin
+                        .transaction(&["obs"], |tx| {
+                            for first in (1..=ROWS).step_by(stride as usize) {
+                                let id = first + (i * 7_919) % stride;
+                                tx.update("obs", id, &[("status", status.into())])?;
+                            }
+                            Ok(())
+                        })
+                        .unwrap();
+                }
+                db.compact().unwrap();
+            })
+        });
+    }
+    g.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(
+    benches,
+    bench_read_path,
+    bench_wal,
+    bench_write_path,
+    bench_compact
+);
 criterion_main!(benches);

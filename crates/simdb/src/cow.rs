@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// clone also copies the spine's `len / capacity` chunk pointers.
 const CHUNK_BYTES: usize = 4096;
 
-type Chunk<K, V> = Vec<(K, V)>;
+pub(crate) type Chunk<K, V> = Vec<(K, V)>;
 
 /// `(bound, chunk)` pairs in key order. A chunk's bound is `<=` its first
 /// key and `>` every key of the chunk before it: its first key when built
@@ -200,6 +200,14 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
         self.spine
             .iter()
             .flat_map(|(_, c)| c.iter().map(|(k, v)| (k, v)))
+    }
+
+    /// The chunks, in key order. A chunk no write has touched keeps its
+    /// `Arc` across clones of the map, so the snapshot encoder can
+    /// recognise an unchanged chunk by its address (see
+    /// [`crate::wal::ChunkCache`]).
+    pub fn chunks(&self) -> impl Iterator<Item = &Arc<Chunk<K, V>>> {
+        self.spine.iter().map(|(_, c)| c)
     }
 
     /// Entries whose keys fall within the bounds, ascending.

@@ -45,8 +45,9 @@ pub enum LogOp {
     Delete { table: String, id: i64 },
 }
 
-/// The in-memory relational engine.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The in-memory relational engine. Loaded from a snapshot's `database`
+/// field; snapshots are written by [`crate::wal::Snapshot`].
+#[derive(Debug, Clone, Default, Deserialize)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
     /// Monotone per-table modification counters, bumped on every committed
@@ -140,6 +141,11 @@ impl Database {
 
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         self.tables.keys().map(|s| s.as_str())
+    }
+
+    /// Every table with its name, sorted by name.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = (&str, &Table)> {
+        self.tables.iter().map(|(n, t)| (n.as_str(), t))
     }
 
     /// Build a full row from named values, applying defaults and Null for

@@ -107,10 +107,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Per-table snapshot-encode cache entry: the published version last
-/// serialized, and its encoded JSON.
-type SnapCache = HashMap<String, (u64, Arc<Vec<u8>>)>;
-
 /// Shared state behind a [`Db`] handle.
 struct DbShared {
     /// The table directory. Its `RwLock` is the *catalog lock* — the top
@@ -123,14 +119,15 @@ struct DbShared {
     roles: RwLock<HashMap<String, Arc<Role>>>,
     wal: Option<wal::Wal>,
     snapshot_path: Option<PathBuf>,
-    /// Clean-table snapshot-encode cache: per table, the published version
-    /// last serialized and its encoded JSON. Compaction re-encodes only
-    /// tables whose version moved since the previous snapshot; on an
-    /// archive-dominated database that turns the dominant cost of a
-    /// checkpoint — re-serializing tens of thousands of static rows — into
-    /// a buffer copy. Bounded by the snapshot's own size; entries for
-    /// vanished tables are pruned at each use.
-    snap_cache: Mutex<SnapCache>,
+    /// Snapshot chunk cache: the encoded bytes of every row chunk in the
+    /// last snapshot, keyed by chunk address (see [`wal::ChunkCache`] for
+    /// why an address identifies a chunk's contents). A checkpoint
+    /// re-encodes only the chunks written since the previous one; on an
+    /// archive-dominated database that turns re-serializing tens of
+    /// thousands of static rows into buffer copies. Holds about one
+    /// snapshot's worth of bytes. Its lock also serializes checkpoints,
+    /// so snapshot files and WAL truncations land in pin order.
+    snap_cache: Mutex<wal::ChunkCache>,
 }
 
 /// A thread-safe database handle. Cheap to clone; all clones share state.
@@ -148,7 +145,7 @@ impl Db {
                 roles: RwLock::new(HashMap::new()),
                 wal: None,
                 snapshot_path: None,
-                snap_cache: Mutex::new(HashMap::new()),
+                snap_cache: Mutex::new(wal::ChunkCache::default()),
             }),
         }
     }
@@ -167,13 +164,19 @@ impl Db {
         let (tables, versions, applied) = database.into_parts();
         let catalog = shard::Catalog::from_parts(tables, &versions, &applied);
         let wal = wal::Wal::open(&wal_path)?;
+        // A compaction can leave the log empty; new records must still
+        // sort after every record the snapshot's coverage includes, or
+        // the next recovery would skip them as already applied.
+        if let Some(&seq) = applied.values().max() {
+            wal.continue_after(seq);
+        }
         Ok(Db {
             shared: Arc::new(DbShared {
                 catalog: RwLock::new(catalog),
                 roles: RwLock::new(HashMap::new()),
                 wal: Some(wal),
                 snapshot_path: Some(snapshot),
-                snap_cache: Mutex::new(HashMap::new()),
+                snap_cache: Mutex::new(wal::ChunkCache::default()),
             }),
         })
     }
@@ -205,7 +208,7 @@ impl Db {
     /// (cheap: copy-on-write structural shares) plus each table's WAL
     /// coverage. Lock-free except for the catalog read lock that resolves
     /// the shard list (which blocks only DDL).
-    fn pin_all(&self) -> (BTreeMap<String, (u64, table::Table)>, BTreeMap<String, u64>) {
+    fn pin_all(&self) -> (BTreeMap<String, table::Table>, BTreeMap<String, u64>) {
         let cut = {
             let catalog = self.shared.catalog.read();
             let shards: BTreeMap<String, Arc<shard::Shard>> = catalog
@@ -217,7 +220,7 @@ impl Db {
         let mut tables = BTreeMap::new();
         let mut applied = BTreeMap::new();
         for (name, version) in cut {
-            tables.insert(name.clone(), (version.version, version.table.clone()));
+            tables.insert(name.clone(), version.table.clone());
             if let Some(seq) = version.applied_seq {
                 applied.insert(name, seq);
             }
@@ -225,29 +228,20 @@ impl Db {
         (tables, applied)
     }
 
-    /// Resolve a pinned cut to per-table encoded snapshot JSON through the
-    /// clean-table cache: a table whose published version is unchanged
-    /// since the last snapshot reuses its previous encoding; only dirty
-    /// tables are re-serialized.
-    fn encode_cut(
+    /// Pin a cut and write it to the snapshot file through the chunk
+    /// cache, returning the cut's per-table WAL coverage. The cache lock is
+    /// held for the whole checkpoint (`compact` keeps it through the WAL
+    /// truncation too), so concurrent checkpoints run one at a time.
+    fn write_snapshot(
         &self,
-        cut: &BTreeMap<String, (u64, table::Table)>,
-    ) -> BTreeMap<String, Arc<Vec<u8>>> {
-        let mut cache = self.shared.snap_cache.lock();
-        cache.retain(|name, _| cut.contains_key(name));
-        cut.iter()
-            .map(|(name, (version, table))| {
-                let bytes = match cache.get(name) {
-                    Some((v, bytes)) if v == version => Arc::clone(bytes),
-                    _ => {
-                        let bytes = Arc::new(wal::Snapshot::encode_table(table));
-                        cache.insert(name.clone(), (*version, Arc::clone(&bytes)));
-                        bytes
-                    }
-                };
-                (name.clone(), bytes)
-            })
-            .collect()
+        cache: &mut wal::ChunkCache,
+        path: &std::path::Path,
+    ) -> Result<BTreeMap<String, u64>, DbError> {
+        let (tables, applied) = self.pin_all();
+        let covered = self.shared.wal.as_ref().and_then(|w| w.last_seq());
+        let tables = tables.iter().map(|(n, t)| (n.as_str(), t));
+        wal::Snapshot::write(tables, covered, &applied, cache, path)?;
+        Ok(applied)
     }
 
     /// Compact durability state: write a snapshot of a pinned consistent
@@ -274,10 +268,8 @@ impl Db {
             .wal
             .as_ref()
             .ok_or_else(|| DbError::Io("no WAL configured".into()))?;
-        let (tables, applied) = self.pin_all();
-        let covered = wal.last_seq();
-        let encoded = self.encode_cut(&tables);
-        wal::Snapshot::save_encoded(&encoded, covered, &applied, &path)?;
+        let mut cache = self.shared.snap_cache.lock();
+        let applied = self.write_snapshot(&mut cache, &path)?;
         wal.truncate_keeping(&applied)
     }
 
@@ -304,10 +296,8 @@ impl Db {
             .snapshot_path
             .clone()
             .ok_or_else(|| DbError::Io("no snapshot path configured".into()))?;
-        let (tables, applied) = self.pin_all();
-        let covered = self.shared.wal.as_ref().and_then(|w| w.last_seq());
-        let encoded = self.encode_cut(&tables);
-        wal::Snapshot::save_encoded(&encoded, covered, &applied, &path)
+        let mut cache = self.shared.snap_cache.lock();
+        self.write_snapshot(&mut cache, &path).map(drop)
     }
 
     /// Current modification counter for `table`. Monotone; bumped
@@ -1010,11 +1000,10 @@ mod tests {
         assert_eq!(c.count("t", &Query::new()).unwrap(), 3);
     }
 
-    /// Repeated compactions hit the clean-table encode cache; this pins
-    /// down that the cache keys on the published version, so a table
-    /// mutated between compactions is re-encoded (no stale bytes served)
-    /// while recovery stays correct across the mix of cached and fresh
-    /// entries.
+    /// Repeated compactions hit the snapshot chunk cache; this pins down
+    /// that a row chunk written between compactions is re-encoded (no
+    /// stale bytes served) while recovery stays correct across the mix of
+    /// cached and fresh chunks.
     #[test]
     fn snapshot_cache_never_serves_stale_tables() {
         let dir = std::env::temp_dir().join(format!("simdb_snapcache_{}", std::process::id()));
@@ -1031,9 +1020,9 @@ mod tests {
                     .unwrap();
                 c.insert(t, &[("v", Value::Int(1))]).unwrap();
             }
-            // First compact encodes both tables and seeds the cache.
+            // First compact encodes both tables' chunks and seeds the cache.
             db.compact().unwrap();
-            // Mutate only `hot`; `cold`'s cached encoding stays valid.
+            // Mutate only `hot`; `cold`'s cached chunk stays valid.
             c.update("hot", 1, &[("v", Value::Int(42))]).unwrap();
             db.compact().unwrap();
             // Third compact: both tables clean, full cache reuse.
@@ -1177,5 +1166,36 @@ mod tests {
         }
         let c = db.connect("web").unwrap();
         assert_eq!(c.count("request", &Query::new()).unwrap(), 400);
+    }
+
+    /// A compaction can leave the WAL empty. Reopening must still number
+    /// new records after everything the snapshot covers: a record whose
+    /// seq the snapshot's per-table coverage already includes is skipped
+    /// by recovery, so restarting the count at 0 would lose the write.
+    #[test]
+    fn writes_after_reopening_a_compacted_db_survive_recovery() {
+        let dir = std::env::temp_dir().join(format!("simdb_reopen_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (snap, walp) = (dir.join("db.snap"), dir.join("db.wal"));
+        let open = || {
+            let db = Db::open(&snap, &walp).unwrap();
+            db.define_role(Role::superuser("admin"));
+            let c = db.connect("admin").unwrap();
+            (db, c)
+        };
+        {
+            let (db, c) = open();
+            let schema = TableSchema::new("t", vec![Column::new("v", ValueType::Int)]);
+            c.create_table(schema).unwrap();
+            for i in 0..5 {
+                c.insert("t", &[("v", Value::Int(i))]).unwrap();
+            }
+            db.compact().unwrap();
+            assert_eq!(std::fs::metadata(&walp).unwrap().len(), 0);
+        }
+        open().1.insert("t", &[("v", Value::Int(99))]).unwrap();
+        let (_db, c) = open();
+        assert_eq!(c.count("t", &Query::new()).unwrap(), 6);
     }
 }

@@ -29,6 +29,13 @@ pub(crate) struct SimdbMetrics {
     /// update copies a few chunks; a regression to whole-index copying
     /// shows up as a jump to O(rows).
     pub index_entries_copied_per_write: Histogram,
+    /// Row chunks a snapshot write encoded: those written since the last
+    /// checkpoint (or every chunk, for the first). A point update between
+    /// two checkpoints costs exactly one; a regression to whole-table
+    /// re-encoding shows up as the table's chunk count.
+    pub snapshot_chunks_encoded: Counter,
+    /// Row chunks a snapshot write copied from the chunk cache unchanged.
+    pub snapshot_chunks_reused: Counter,
 }
 
 pub(crate) fn metrics() -> &'static SimdbMetrics {
@@ -42,6 +49,8 @@ pub(crate) fn metrics() -> &'static SimdbMetrics {
             .histogram("simdb_rows_copied_per_write", Unit::Count),
         index_entries_copied_per_write: amp_obs::registry()
             .histogram("simdb_index_entries_copied_per_write", Unit::Count),
+        snapshot_chunks_encoded: amp_obs::counter("simdb_snapshot_chunks_encoded_total"),
+        snapshot_chunks_reused: amp_obs::counter("simdb_snapshot_chunks_reused_total"),
     })
 }
 

@@ -25,7 +25,9 @@ use crate::cow::CowMap;
 use crate::error::DbError;
 use crate::schema::{Column, TableSchema};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
+#[cfg(test)]
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -33,6 +35,15 @@ use std::sync::Arc;
 /// A stored row: cell values aligned with `TableSchema::columns` order.
 /// The primary key lives in the table's row map, not in the row itself.
 pub type Row = Vec<Value>;
+
+/// One chunk of row storage: up to [`ROWS_PER_CHUNK`] `(id, row)` pairs,
+/// ascending by id.
+pub(crate) type RowChunk = crate::cow::Chunk<i64, Arc<Row>>;
+
+/// Rows per row chunk (256): the unit a write copies and the snapshot
+/// encoder re-encodes. Ids inserted in order fill chunk `c` with ids
+/// `ROWS_PER_CHUNK * c + 1 ..= ROWS_PER_CHUNK * (c + 1)`.
+pub const ROWS_PER_CHUNK: usize = CowMap::<i64, Arc<Row>>::CAP;
 
 /// Copy-on-write row storage: a [`CowMap`] from id to a shared row, so a
 /// chunk holds 256 row *pointers*. Iteration order is ascending by id.
@@ -106,6 +117,13 @@ impl Rows {
 
     pub fn iter(&self) -> impl Iterator<Item = (i64, &Row)> {
         self.map.iter().map(|(id, r)| (*id, r.as_ref()))
+    }
+
+    /// The row chunks, ascending by id: the snapshot encoder's unit of
+    /// reuse. A write replaces only the chunk it touches, so every other
+    /// chunk keeps its `Arc` (and address).
+    pub fn chunks(&self) -> impl Iterator<Item = &Arc<RowChunk>> {
+        self.map.chunks()
     }
 
     /// Drain the materialized-rows counter. The commit path calls this once
@@ -221,10 +239,10 @@ impl Index {
 
 /// A single table: schema, row storage, and indexes.
 ///
-/// Indexes are rebuilt on load; only schema + rows are serialized (via a
-/// flat-map proxy, so the on-disk format is identical to the pre-chunked
-/// layout). Cloning shares all row chunks and index chunks structurally —
-/// see the module docs for the copy-on-write granularity.
+/// Only schema, rows and `next_id` are persisted (see [`TableSer`]);
+/// indexes are rebuilt on load. Cloning shares all row chunks and index
+/// chunks structurally — see the module docs for the copy-on-write
+/// granularity.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
@@ -235,34 +253,17 @@ pub struct Table {
     pub(crate) indexes: Vec<Option<Index>>,
 }
 
-/// Serialization proxy matching the historic on-disk field layout
-/// (`schema`, flat `rows` map, `next_id`; indexes rebuilt on load).
-#[derive(Serialize, Deserialize)]
-struct TableSer {
-    schema: TableSchema,
-    rows: BTreeMap<i64, Row>,
-    next_id: i64,
-}
-
-impl Serialize for Table {
-    fn to_content(&self) -> serde::Content {
-        // Built directly rather than through `TableSer` so encoding a
-        // snapshot never deep-copies row storage; must stay field-for-field
-        // identical to `TableSer`'s layout (asserted by test).
-        serde::Content::Map(vec![
-            ("schema".to_string(), self.schema.to_content()),
-            (
-                "rows".to_string(),
-                serde::Content::Map(
-                    self.rows
-                        .iter()
-                        .map(|(id, r)| (id.to_string(), r.to_content()))
-                        .collect(),
-                ),
-            ),
-            ("next_id".to_string(), self.next_id.to_content()),
-        ])
-    }
+/// The on-disk layout of one table in a snapshot: `schema`, a flat `rows`
+/// map from id to row, and `next_id`; indexes are rebuilt on load. Only
+/// loading goes through this proxy. Snapshots are written by
+/// [`crate::wal::Snapshot`]'s direct encoder, which emits the same bytes
+/// row chunk by row chunk (asserted against this proxy by test).
+#[derive(Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
+pub(crate) struct TableSer {
+    pub(crate) schema: TableSchema,
+    pub(crate) rows: BTreeMap<i64, Row>,
+    pub(crate) next_id: i64,
 }
 
 impl Deserialize for Table {
@@ -554,26 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_table_serializer_matches_proxy_layout() {
-        let mut t = table();
-        // Span several chunks and leave a deletion hole so chunk
-        // boundaries are exercised, not just one dense map.
-        for i in 0..600 {
-            t.insert(vec![format!("n{i}").into(), Value::Int(i)])
-                .unwrap();
-        }
-        t.delete(300).unwrap();
-        let direct = serde_json::to_vec(&t).unwrap();
-        let proxy = serde_json::to_vec(&TableSer {
-            schema: t.schema.clone(),
-            rows: t.rows.iter().map(|(id, r)| (id, r.clone())).collect(),
-            next_id: t.next_id,
-        })
-        .unwrap();
-        assert_eq!(direct, proxy);
-    }
-
-    #[test]
     fn insert_assigns_sequential_ids() {
         let mut t = table();
         let a = t.insert(vec!["a".into(), Value::Int(1)]).unwrap();
@@ -676,7 +657,7 @@ mod tests {
     /// quote.
     #[test]
     fn chunk_capacities_match_the_docs() {
-        assert_eq!(CowMap::<i64, Arc<Row>>::CAP, 256);
+        assert_eq!(ROWS_PER_CHUNK, 256);
         assert_eq!(CowMap::<i64, ()>::CAP, 512);
         assert_eq!(CowMap::<Value, Postings>::CAP, 85);
     }

@@ -7,13 +7,15 @@
 
 use crate::db::{Database, LogOp};
 use crate::error::DbError;
+use crate::table::{RowChunk, Table};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use serde::Deserialize;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// The table a logged op targets (per-table WAL coverage accounting).
 pub(crate) fn op_table(op: &LogOp) -> &str {
@@ -25,92 +27,111 @@ pub(crate) fn op_table(op: &LogOp) -> &str {
     }
 }
 
-/// Byte-exact fast encoder for the hot `LogOp` variants. The generic
-/// serde path builds an intermediate content tree per record, which
-/// dominates append cost; this writes the identical JSON straight into
-/// the output buffer. `CreateTable` (cold: DDL only) falls back to serde.
-/// `encoder_matches_serde` pins byte equality against `serde_json`.
+// Byte-exact JSON encoders shared by the WAL and the snapshot writer. The
+// generic serde path builds an intermediate content tree per value; these
+// write the identical JSON straight into the output buffer.
+// `encoder_matches_serde` and `snapshot_writer_matches_serde_layout` pin
+// byte equality against `serde_json`.
+
+fn encode_str(buf: &mut Vec<u8>, s: &str) {
+    buf.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run = 0; // start of the current passthrough run
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue; // plain byte (incl. UTF-8 continuation): copied in bulk
+        }
+        buf.extend_from_slice(&bytes[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => buf.extend_from_slice(b"\\\""),
+            b'\\' => buf.extend_from_slice(b"\\\\"),
+            b'\n' => buf.extend_from_slice(b"\\n"),
+            b'\t' => buf.extend_from_slice(b"\\t"),
+            b'\r' => buf.extend_from_slice(b"\\r"),
+            0x8 => buf.extend_from_slice(b"\\b"),
+            0xc => buf.extend_from_slice(b"\\f"),
+            c => buf.extend_from_slice(format!("\\u{:04x}", c as u32).as_bytes()),
+        }
+    }
+    buf.extend_from_slice(&bytes[run..]);
+    buf.push(b'"');
+}
+
+fn encode_i64(buf: &mut Vec<u8>, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    let neg = v < 0;
+    let mut v = (v as i128).unsigned_abs();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    if neg {
+        buf.push(b'-');
+    }
+    buf.extend_from_slice(&digits[i..]);
+}
+
+fn encode_f64(buf: &mut Vec<u8>, v: f64) {
+    if !v.is_finite() {
+        buf.extend_from_slice(b"null");
+        return;
+    }
+    let s = format!("{v}");
+    buf.extend_from_slice(s.as_bytes());
+    if !s.contains('.') && !s.contains('e') {
+        buf.extend_from_slice(b".0");
+    }
+}
+
+fn encode_value(buf: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => buf.extend_from_slice(b"\"Null\""),
+        Value::Bool(true) => buf.extend_from_slice(b"{\"Bool\":true}"),
+        Value::Bool(false) => buf.extend_from_slice(b"{\"Bool\":false}"),
+        Value::Int(i) => {
+            buf.extend_from_slice(b"{\"Int\":");
+            encode_i64(buf, *i);
+            buf.push(b'}');
+        }
+        Value::Float(f) => {
+            buf.extend_from_slice(b"{\"Float\":");
+            encode_f64(buf, *f);
+            buf.push(b'}');
+        }
+        Value::Timestamp(t) => {
+            buf.extend_from_slice(b"{\"Timestamp\":");
+            encode_i64(buf, *t);
+            buf.push(b'}');
+        }
+        Value::Text(s) => {
+            buf.extend_from_slice(b"{\"Text\":");
+            encode_str(buf, s);
+            buf.push(b'}');
+        }
+    }
+}
+
+/// A row as a JSON array of its cells.
+fn encode_row(buf: &mut Vec<u8>, row: &[Value]) {
+    buf.push(b'[');
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        encode_value(buf, v);
+    }
+    buf.push(b']');
+}
+
+/// Fast encoder for the hot `LogOp` variants. `CreateTable` (cold: DDL
+/// only) falls back to serde.
 fn encode_op(buf: &mut Vec<u8>, op: &LogOp) -> Result<(), DbError> {
-    fn encode_str(buf: &mut Vec<u8>, s: &str) {
-        buf.push(b'"');
-        let bytes = s.as_bytes();
-        let mut run = 0; // start of the current passthrough run
-        for (i, &b) in bytes.iter().enumerate() {
-            if b >= 0x20 && b != b'"' && b != b'\\' {
-                continue; // plain byte (incl. UTF-8 continuation): copied in bulk
-            }
-            buf.extend_from_slice(&bytes[run..i]);
-            run = i + 1;
-            match b {
-                b'"' => buf.extend_from_slice(b"\\\""),
-                b'\\' => buf.extend_from_slice(b"\\\\"),
-                b'\n' => buf.extend_from_slice(b"\\n"),
-                b'\t' => buf.extend_from_slice(b"\\t"),
-                b'\r' => buf.extend_from_slice(b"\\r"),
-                0x8 => buf.extend_from_slice(b"\\b"),
-                0xc => buf.extend_from_slice(b"\\f"),
-                c => buf.extend_from_slice(format!("\\u{:04x}", c as u32).as_bytes()),
-            }
-        }
-        buf.extend_from_slice(&bytes[run..]);
-        buf.push(b'"');
-    }
-    fn encode_i64(buf: &mut Vec<u8>, v: i64) {
-        let mut digits = [0u8; 20];
-        let mut i = digits.len();
-        let neg = v < 0;
-        let mut v = (v as i128).unsigned_abs();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        if neg {
-            buf.push(b'-');
-        }
-        buf.extend_from_slice(&digits[i..]);
-    }
-    fn encode_f64(buf: &mut Vec<u8>, v: f64) {
-        if !v.is_finite() {
-            buf.extend_from_slice(b"null");
-            return;
-        }
-        let s = format!("{v}");
-        buf.extend_from_slice(s.as_bytes());
-        if !s.contains('.') && !s.contains('e') {
-            buf.extend_from_slice(b".0");
-        }
-    }
-    fn encode_value(buf: &mut Vec<u8>, v: &Value) {
-        match v {
-            Value::Null => buf.extend_from_slice(b"\"Null\""),
-            Value::Bool(true) => buf.extend_from_slice(b"{\"Bool\":true}"),
-            Value::Bool(false) => buf.extend_from_slice(b"{\"Bool\":false}"),
-            Value::Int(i) => {
-                buf.extend_from_slice(b"{\"Int\":");
-                encode_i64(buf, *i);
-                buf.push(b'}');
-            }
-            Value::Float(f) => {
-                buf.extend_from_slice(b"{\"Float\":");
-                encode_f64(buf, *f);
-                buf.push(b'}');
-            }
-            Value::Timestamp(t) => {
-                buf.extend_from_slice(b"{\"Timestamp\":");
-                encode_i64(buf, *t);
-                buf.push(b'}');
-            }
-            Value::Text(s) => {
-                buf.extend_from_slice(b"{\"Text\":");
-                encode_str(buf, s);
-                buf.push(b'}');
-            }
-        }
-    }
     fn encode_header(buf: &mut Vec<u8>, variant: &str, table: &str, id: i64) {
         buf.push(b'{');
         encode_str(buf, variant);
@@ -121,14 +142,9 @@ fn encode_op(buf: &mut Vec<u8>, op: &LogOp) -> Result<(), DbError> {
     }
     fn encode_row_op(buf: &mut Vec<u8>, variant: &str, table: &str, id: i64, row: &[Value]) {
         encode_header(buf, variant, table, id);
-        buf.extend_from_slice(b",\"row\":[");
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                buf.push(b',');
-            }
-            encode_value(buf, v);
-        }
-        buf.extend_from_slice(b"]}}");
+        buf.extend_from_slice(b",\"row\":");
+        encode_row(buf, row);
+        buf.extend_from_slice(b"}}");
     }
     match op {
         LogOp::Insert { table, id, row } => encode_row_op(buf, "Insert", table, *id, row),
@@ -144,6 +160,44 @@ fn encode_op(buf: &mut Vec<u8>, op: &LogOp) -> Result<(), DbError> {
         }
     }
     Ok(())
+}
+
+/// The `seq` and table name of one WAL line, read from its fixed prefix
+/// without decoding the op: `{"seq":N,"op":{"<Variant>":{"table":"<name>"`
+/// for row ops, `{"seq":N,"op":{"CreateTable":{"schema":{"name":"<name>"`
+/// for DDL. `None` if the prefix does not have that shape.
+fn scan_header(line: &[u8]) -> Option<(u64, Cow<'_, str>)> {
+    let rest = line.strip_prefix(b"{\"seq\":")?;
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    let seq = std::str::from_utf8(&rest[..digits]).ok()?.parse().ok()?;
+    let rest = rest[digits..].strip_prefix(b",\"op\":{\"")?;
+    let name = match rest.strip_prefix(b"CreateTable\":{\"schema\":{\"name\":") {
+        Some(name) => name,
+        None => [&b"Insert"[..], b"Update", b"Delete"]
+            .iter()
+            .find_map(|v| rest.strip_prefix(*v))?
+            .strip_prefix(b"\":{\"table\":")?,
+    };
+    Some((seq, scan_str(name)?))
+}
+
+/// Decode the JSON string literal at the start of `s`, borrowing when it
+/// holds no escapes. An escaped literal is rare (a table name with `"`,
+/// `\` or a control character) and is handed to `serde_json` whole.
+fn scan_str(s: &[u8]) -> Option<Cow<'_, str>> {
+    let body = s.strip_prefix(b"\"")?;
+    let end = body.iter().position(|&b| b == b'"' || b == b'\\')?;
+    if body[end] == b'"' {
+        return std::str::from_utf8(&body[..end]).ok().map(Cow::Borrowed);
+    }
+    // The closing quote is the first `"` not consumed by an escape.
+    let mut i = end;
+    while body.get(i)? != &b'"' {
+        i += if body[i] == b'\\' { 2 } else { 1 };
+    }
+    serde_json::from_slice::<String>(&s[..i + 2])
+        .ok()
+        .map(Cow::Owned)
 }
 
 /// One WAL record: a monotonically increasing sequence number plus the op.
@@ -264,6 +318,18 @@ impl Wal {
             }),
             fsync: std::sync::atomic::AtomicBool::new(false),
         })
+    }
+
+    /// Number the next record after `seq` if the log itself ends earlier
+    /// (an empty log after a compaction; the snapshot knows the higher
+    /// watermark).
+    pub(crate) fn continue_after(&self, seq: u64) {
+        let mut st = self.commit.lock().expect("wal commit lock");
+        let mut q = self.queue.lock().expect("wal queue lock");
+        if q.next_seq <= seq {
+            q.next_seq = seq + 1;
+            st.flushed_seq = Some(seq);
+        }
     }
 
     /// Enable or disable per-commit `fdatasync` (see the `fsync` field).
@@ -453,7 +519,12 @@ impl Wal {
 
     /// Compaction truncation: drop every record whose effects the covering
     /// snapshot already contains *per table* — a record survives unless
-    /// `applied[table] >= seq`. Unlike [`Self::truncate`], this is safe
+    /// `applied[table] >= seq`. The log is scanned, not decoded: each
+    /// line's seq and table come from its fixed prefix ([`scan_header`]),
+    /// covered lines are dropped unread and survivors are copied verbatim.
+    /// Sequence numbers must still be strictly increasing, and a line
+    /// whose prefix does not parse is [`DbError::Corrupt`]. Unlike
+    /// [`Self::truncate`], this is safe
     /// while writers are running: an in-flight op that claimed a sequence
     /// number but was not yet published when the snapshot's versions were
     /// pinned has `seq > applied[table]` (claims and publications of one
@@ -489,15 +560,24 @@ impl Wal {
         // be dropped as snapshot-covered; either way it needs no re-flush.
         st.flushed_seq = upto;
 
+        let data = std::fs::read(&self.path)?;
         let mut out = Vec::new();
-        for rec in Self::read_records(&self.path)? {
-            let covered = applied
-                .get(op_table(&rec.op))
-                .is_some_and(|&s| s >= rec.seq);
-            if !covered {
-                let line = serde_json::to_string(&rec)
-                    .map_err(|e| DbError::Io(format!("wal rewrite: {e}")))?;
-                out.extend_from_slice(line.as_bytes());
+        let mut prev: Option<u64> = None;
+        for (lineno, line) in data.split(|&b| b == b'\n').enumerate() {
+            if line.iter().all(u8::is_ascii_whitespace) {
+                continue;
+            }
+            let (seq, table) = scan_header(line).ok_or_else(|| {
+                DbError::Corrupt(format!("wal line {}: unreadable record prefix", lineno + 1))
+            })?;
+            if let Some(p) = prev.filter(|&p| seq <= p) {
+                return Err(DbError::Corrupt(format!(
+                    "wal sequence regression: {p} then {seq}"
+                )));
+            }
+            prev = Some(seq);
+            if applied.get(table.as_ref()).is_none_or(|&s| s < seq) {
+                out.extend_from_slice(line);
                 out.push(b'\n');
             }
         }
@@ -564,27 +644,15 @@ impl Wal {
 /// Full database snapshots.
 pub struct Snapshot;
 
-/// A snapshot file: database state, the WAL sequence number it covers
-/// globally, and (since per-table compaction) the per-table coverage.
+/// A snapshot file as loaded: database state, the WAL sequence number it
+/// covers globally, and the per-table coverage (the highest WAL seq whose
+/// effects each table's saved state includes). On disk it is
+/// `{"covered_seq":…,"applied_seqs":{…},"database":{"tables":{…}}}`,
+/// written by [`Snapshot::write`].
 struct SnapshotFile {
     covered_seq: Option<u64>,
-    /// Highest WAL seq whose effects each table's saved state includes.
-    /// Empty for snapshots written before per-table accounting existed;
-    /// [`Snapshot::load`] then falls back to `covered_seq` for every
-    /// table (sound there: legacy snapshots were taken under a full lock
-    /// cut, so no claimed-but-unpublished op could predate them).
     applied_seqs: BTreeMap<String, u64>,
     database: Database,
-}
-
-impl Serialize for SnapshotFile {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("covered_seq".to_string(), self.covered_seq.to_content()),
-            ("applied_seqs".to_string(), self.applied_seqs.to_content()),
-            ("database".to_string(), self.database.to_content()),
-        ])
-    }
 }
 
 impl Deserialize for SnapshotFile {
@@ -592,17 +660,30 @@ impl Deserialize for SnapshotFile {
         let m = c
             .as_map()
             .ok_or_else(|| serde::DeError::custom("snapshot: expected map"))?;
-        let applied_seqs = if m.iter().any(|(k, _)| k == "applied_seqs") {
-            serde::de_field(m, "applied_seqs")?
-        } else {
-            BTreeMap::new() // legacy snapshot; see the field docs
-        };
         Ok(SnapshotFile {
             covered_seq: serde::de_field(m, "covered_seq")?,
-            applied_seqs,
+            applied_seqs: serde::de_field(m, "applied_seqs")?,
             database: serde::de_field(m, "database")?,
         })
     }
+}
+
+/// Encoded snapshot fragments of row chunks, keyed by chunk address, so a
+/// checkpoint re-encodes only the chunks written since the last one.
+///
+/// Soundness: each entry holds a strong reference to its chunk. A chunk
+/// with a second strong reference is never mutated in place — every
+/// write reaches a chunk through `Arc::make_mut`, which copies a shared
+/// chunk — and its allocation cannot be freed, so its address cannot be
+/// reused, while the entry holds it. Equal addresses therefore mean equal
+/// entries, and equal entries mean equal bytes.
+///
+/// [`Snapshot::write`] rebuilds the cache from the chunks of the cut it
+/// writes, so a superseded chunk is released at the next checkpoint and
+/// the cache holds about one snapshot's worth of encoded rows.
+#[derive(Default)]
+pub(crate) struct ChunkCache {
+    entries: HashMap<usize, (Arc<RowChunk>, Box<[u8]>)>,
 }
 
 impl Snapshot {
@@ -618,93 +699,128 @@ impl Snapshot {
             Some(cov) => db.table_names().map(|t| (t.to_string(), cov)).collect(),
             None => BTreeMap::new(),
         };
-        Self::save_owned(db.clone(), covered_seq, applied, path)
+        let mut cache = ChunkCache::default();
+        Self::write(db.tables(), covered_seq, &applied, &mut cache, path)
     }
 
-    fn save_owned(
-        database: Database,
-        covered_seq: Option<u64>,
-        applied_seqs: BTreeMap<String, u64>,
-        path: impl AsRef<Path>,
-    ) -> Result<(), DbError> {
-        let file = SnapshotFile {
-            covered_seq,
-            applied_seqs,
-            database,
-        };
-        let data =
-            serde_json::to_vec(&file).map_err(|e| DbError::Io(format!("snapshot encode: {e}")))?;
-        Self::write_atomic(path, data)
-    }
-
-    /// Encode one table exactly as it appears as a value inside the
-    /// snapshot file's `database.tables` map — the unit the compactor's
-    /// clean-table cache stores and reuses.
-    pub(crate) fn encode_table(table: &crate::table::Table) -> Vec<u8> {
-        serde_json::to_vec(table).expect("table JSON encode is infallible")
-    }
-
-    /// Assemble and write a snapshot from per-table pre-encoded JSON.
-    /// Byte-identical to encoding a whole [`SnapshotFile`] over the same
-    /// cut (asserted by test), but a table whose published version has not
-    /// moved since the last snapshot costs one buffer copy instead of a
-    /// full content-tree build and re-serialization — on archive-dominated
-    /// databases that is almost the entire snapshot.
-    pub(crate) fn save_encoded(
-        tables: &BTreeMap<String, std::sync::Arc<Vec<u8>>>,
+    /// The snapshot writer: streams the file straight from table storage,
+    /// byte-identical to a serde encode of the same state through
+    /// [`crate::table::TableSer`]. Each row chunk is encoded once and its
+    /// bytes kept in `cache`; a chunk still in the cache from the previous
+    /// write costs one buffer copy. Counts encoded and reused chunks in
+    /// `simdb_snapshot_chunks_{encoded,reused}_total`.
+    pub(crate) fn write<'a>(
+        tables: impl IntoIterator<Item = (&'a str, &'a Table)>,
         covered_seq: Option<u64>,
         applied_seqs: &BTreeMap<String, u64>,
+        cache: &mut ChunkCache,
         path: impl AsRef<Path>,
     ) -> Result<(), DbError> {
-        let enc = |e| DbError::Io(format!("snapshot encode: {e}"));
-        let covered = serde_json::to_string(&covered_seq).map_err(enc)?;
-        let applied = serde_json::to_string(applied_seqs).map_err(enc)?;
-        let body: usize = tables.iter().map(|(n, b)| n.len() + b.len() + 4).sum();
-        let mut data = Vec::with_capacity(64 + covered.len() + applied.len() + body);
-        data.extend_from_slice(b"{\"covered_seq\":");
-        data.extend_from_slice(covered.as_bytes());
-        data.extend_from_slice(b",\"applied_seqs\":");
-        data.extend_from_slice(applied.as_bytes());
-        data.extend_from_slice(b",\"database\":{\"tables\":{");
-        for (i, (name, bytes)) in tables.iter().enumerate() {
-            if i > 0 {
-                data.push(b',');
+        let mut fresh = HashMap::with_capacity(cache.entries.len());
+        let (mut encoded, mut reused) = (0, 0);
+        Self::write_atomic(path, |out| {
+            let mut buf = Vec::with_capacity(4096);
+            let mut chunk_buf = Vec::new();
+            buf.extend_from_slice(b"{\"covered_seq\":");
+            match covered_seq {
+                Some(seq) => buf.extend_from_slice(seq.to_string().as_bytes()),
+                None => buf.extend_from_slice(b"null"),
             }
-            let key = serde_json::to_string(name).map_err(enc)?;
-            data.extend_from_slice(key.as_bytes());
-            data.push(b':');
-            data.extend_from_slice(bytes);
-        }
-        data.extend_from_slice(b"}}}");
-        Self::write_atomic(path, data)
+            buf.extend_from_slice(b",\"applied_seqs\":{");
+            for (i, (name, seq)) in applied_seqs.iter().enumerate() {
+                if i > 0 {
+                    buf.push(b',');
+                }
+                encode_str(&mut buf, name);
+                buf.push(b':');
+                buf.extend_from_slice(seq.to_string().as_bytes());
+            }
+            buf.extend_from_slice(b"},\"database\":{\"tables\":{");
+            for (i, (name, table)) in tables.into_iter().enumerate() {
+                if i > 0 {
+                    buf.push(b',');
+                }
+                encode_str(&mut buf, name);
+                buf.extend_from_slice(b":{\"schema\":");
+                let schema = serde_json::to_vec(&table.schema)
+                    .map_err(|e| std::io::Error::other(format!("snapshot encode: {e}")))?;
+                buf.extend_from_slice(&schema);
+                buf.extend_from_slice(b",\"rows\":{");
+                out.write_all(&buf)?;
+                buf.clear();
+                for (n, chunk) in table.rows.chunks().enumerate() {
+                    let key = Arc::as_ptr(chunk) as usize;
+                    let entry = match cache.entries.remove(&key) {
+                        Some(entry) => {
+                            reused += 1;
+                            entry
+                        }
+                        None => {
+                            encoded += 1;
+                            chunk_buf.clear();
+                            encode_chunk(&mut chunk_buf, chunk);
+                            (Arc::clone(chunk), chunk_buf.as_slice().into())
+                        }
+                    };
+                    if n > 0 {
+                        out.write_all(b",")?;
+                    }
+                    out.write_all(&entry.1)?;
+                    fresh.insert(key, entry);
+                }
+                buf.extend_from_slice(b"},\"next_id\":");
+                encode_i64(&mut buf, table.next_id);
+                buf.push(b'}');
+            }
+            buf.extend_from_slice(b"}}}");
+            out.write_all(&buf)
+        })?;
+        cache.entries = fresh;
+        let m = crate::obs::metrics();
+        m.snapshot_chunks_encoded.add(encoded);
+        m.snapshot_chunks_reused.add(reused);
+        Ok(())
     }
 
-    /// Write-then-rename for atomicity.
-    fn write_atomic(path: impl AsRef<Path>, data: Vec<u8>) -> Result<(), DbError> {
+    /// Write-then-rename for atomicity. Snapshots run to megabytes, so the
+    /// stream is buffered a MiB at a time (a handful of write calls).
+    fn write_atomic(
+        path: impl AsRef<Path>,
+        write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+    ) -> Result<(), DbError> {
         let tmp = path.as_ref().with_extension("tmp");
-        std::fs::write(&tmp, data)?;
+        let mut out = BufWriter::with_capacity(1 << 20, File::create(&tmp)?);
+        write(&mut out)?;
+        out.flush()?;
+        drop(out);
         std::fs::rename(&tmp, path.as_ref())?;
         Ok(())
     }
 
     /// Load a snapshot; returns the database (indexes rebuilt, per-table
-    /// WAL coverage seeded — from the recorded map, or from `covered_seq`
-    /// for legacy snapshots) and the WAL seq it covers globally.
+    /// WAL coverage seeded from the recorded map) and the WAL seq it
+    /// covers globally.
     pub fn load(path: impl AsRef<Path>) -> Result<(Database, Option<u64>), DbError> {
         let data = std::fs::read(path.as_ref())?;
         let file: SnapshotFile = serde_json::from_slice(&data)
             .map_err(|e| DbError::Corrupt(format!("snapshot decode: {e}")))?;
         let mut db = file.database;
         db.rebuild_indexes()?;
-        if file.applied_seqs.is_empty() {
-            if let Some(cov) = file.covered_seq {
-                let seeded = db.table_names().map(|t| (t.to_string(), cov)).collect();
-                db.set_applied_seqs(seeded);
-            }
-        } else {
-            db.set_applied_seqs(file.applied_seqs);
-        }
+        db.set_applied_seqs(file.applied_seqs);
         Ok((db, file.covered_seq))
+    }
+}
+
+/// One row chunk's entries of a snapshot's `rows` map: `"id":[cells],…`.
+fn encode_chunk(buf: &mut Vec<u8>, chunk: &RowChunk) {
+    for (i, (id, row)) in chunk.iter().enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        buf.push(b'"');
+        encode_i64(buf, *id);
+        buf.extend_from_slice(b"\":");
+        encode_row(buf, row);
     }
 }
 
@@ -756,46 +872,288 @@ mod tests {
         ops
     }
 
-    #[test]
-    fn assembled_snapshot_matches_whole_file_encoding() {
-        let mut db = Database::new();
-        seed_ops(&mut db);
-        db.create_table(TableSchema::new(
-            "empty",
-            vec![Column::new("s", ValueType::Text)],
-        ))
-        .unwrap();
-        let covered = Some(9);
-        let applied: BTreeMap<String, u64> = [("t".to_string(), 7u64)].into_iter().collect();
-        let reference = serde_json::to_vec(&SnapshotFile {
-            covered_seq: covered,
-            applied_seqs: applied.clone(),
-            database: db.clone(),
-        })
-        .unwrap();
-        let parts: BTreeMap<String, std::sync::Arc<Vec<u8>>> = db
-            .table_names()
-            .map(|n| {
-                let bytes = Snapshot::encode_table(db.table(n).unwrap());
-                (n.to_string(), std::sync::Arc::new(bytes))
+    /// A serde encode of a whole snapshot file through `TableSer`, the
+    /// layout the direct writer must reproduce byte for byte.
+    fn serde_snapshot(
+        db: &Database,
+        covered: Option<u64>,
+        applied: &BTreeMap<String, u64>,
+    ) -> Vec<u8> {
+        #[derive(serde::Serialize)]
+        struct FileSer {
+            covered_seq: Option<u64>,
+            applied_seqs: BTreeMap<String, u64>,
+            database: DatabaseSer,
+        }
+        #[derive(serde::Serialize)]
+        struct DatabaseSer {
+            tables: BTreeMap<String, crate::table::TableSer>,
+        }
+        let tables = db
+            .tables()
+            .map(|(name, t)| {
+                let ser = crate::table::TableSer {
+                    schema: t.schema.clone(),
+                    rows: t.iter().map(|(id, r)| (id, r.clone())).collect(),
+                    next_id: t.next_id,
+                };
+                (name.to_string(), ser)
             })
             .collect();
-        let dir = tmpdir("assembled");
+        serde_json::to_vec(&FileSer {
+            covered_seq: covered,
+            applied_seqs: applied.clone(),
+            database: DatabaseSer { tables },
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn snapshot_writer_matches_serde_layout() {
+        let mut db = Database::new();
+        seed_ops(&mut db);
+        for name in ["empty", "quo\"te\\ ünï"] {
+            db.create_table(TableSchema::new(
+                name,
+                vec![
+                    Column::new("s", ValueType::Text),
+                    Column::new("f", ValueType::Float),
+                ],
+            ))
+            .unwrap();
+        }
+        // Several chunks, a deletion hole, and cells that need escaping.
+        let wide = "quo\"te\\ ünï";
+        for i in 0..600 {
+            let text = format!("r{i} \"q\" \\ \n ∑ 🌀");
+            let cells = [
+                ("s", Value::Text(text)),
+                ("f", Value::Float(i as f64 / 8.0)),
+            ];
+            db.insert(wide, &cells).unwrap();
+        }
+        db.delete(wide, 300).unwrap();
+        let applied: BTreeMap<String, u64> = [("t".to_string(), 7u64), (wide.to_string(), 9)]
+            .into_iter()
+            .collect();
+        let dir = tmpdir("writer");
         let path = dir.join("snap.json");
-        Snapshot::save_encoded(&parts, covered, &applied, &path).unwrap();
+        let mut cache = ChunkCache::default();
+        for covered in [Some(9), None] {
+            Snapshot::write(db.tables(), covered, &applied, &mut cache, &path).unwrap();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                serde_snapshot(&db, covered, &applied),
+                "direct snapshot writer diverged from the serde layout"
+            );
+        }
+
+        // A point update re-encodes exactly the one chunk it replaced.
+        let before: std::collections::HashSet<usize> = cache.entries.keys().copied().collect();
+        db.update(wide, 5, &[("f", Value::Float(-1.5))]).unwrap();
+        Snapshot::write(db.tables(), Some(10), &applied, &mut cache, &path).unwrap();
         assert_eq!(
             std::fs::read(&path).unwrap(),
-            reference,
-            "stitched per-table snapshot must be byte-identical to a whole-file encode"
+            serde_snapshot(&db, Some(10), &applied)
         );
-        // And it must round-trip through the normal loader.
+        let after: std::collections::HashSet<usize> = cache.entries.keys().copied().collect();
+        assert_eq!(before.len(), after.len());
+        assert_eq!(after.difference(&before).count(), 1);
+
+        // And the file loads through the normal loader.
         let (loaded, cov) = Snapshot::load(&path).unwrap();
-        assert_eq!(cov, covered);
+        assert_eq!(cov, Some(10));
         assert_eq!(loaded.count("t", &crate::query::Query::new()).unwrap(), 5);
+        assert_eq!(
+            loaded.count(wide, &crate::query::Query::new()).unwrap(),
+            599
+        );
         assert_eq!(
             loaded.count("empty", &crate::query::Query::new()).unwrap(),
             0
         );
+    }
+
+    #[test]
+    fn snapshot_without_applied_seqs_is_corrupt() {
+        let dir = tmpdir("legacy");
+        let path = dir.join("snap.json");
+        std::fs::write(&path, r#"{"covered_seq":3,"database":{"tables":{}}}"#).unwrap();
+        assert!(matches!(Snapshot::load(&path), Err(DbError::Corrupt(_))));
+    }
+
+    /// The WAL file's lines.
+    fn lines(path: &Path) -> Vec<String> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn header_scan_reads_seq_and_unescaped_table() {
+        let names = [
+            "plain",
+            "quo\"te",
+            "back\\slash",
+            "ünï 日本 🌀",
+            "ctl\n\t\u{1}",
+        ];
+        let mut ops = Vec::new();
+        for name in names {
+            let schema = TableSchema::new(name, vec![Column::new("v", ValueType::Int)]);
+            ops.push(LogOp::CreateTable { schema });
+        }
+        for (i, name) in names.iter().enumerate() {
+            let table = name.to_string();
+            let row = vec![Value::Text("\"table\":\"decoy\"".into())];
+            ops.push(LogOp::Insert {
+                table: table.clone(),
+                id: 1,
+                row: row.clone(),
+            });
+            ops.push(LogOp::Update {
+                table: table.clone(),
+                id: 1,
+                row,
+            });
+            ops.push(LogOp::Delete {
+                table,
+                id: i as i64,
+            });
+        }
+        for (seq, op) in ops.iter().enumerate() {
+            let mut body = Vec::new();
+            encode_op(&mut body, op).unwrap();
+            let line = format!(
+                "{{\"seq\":{seq},\"op\":{}}}",
+                String::from_utf8(body).unwrap()
+            );
+            let (got_seq, table) = scan_header(line.as_bytes()).expect("prefix parses");
+            assert_eq!(
+                (got_seq, table.as_ref()),
+                (seq as u64, op_table(op)),
+                "{line}"
+            );
+        }
+        // Escapes the encoder never emits still decode as JSON defines them.
+        let line = br#"{"seq":7,"op":{"Delete":{"table":"a\/\u00e9\ud83c\udf00\"","id":1}}}"#;
+        let (seq, table) = scan_header(line).unwrap();
+        assert_eq!((seq, table.as_ref()), (7, "a/é🌀\""));
+    }
+
+    #[test]
+    fn truncation_keeps_uncovered_lines_verbatim() {
+        let dir = tmpdir("scan_keep");
+        let wal_path = dir.join("db.wal");
+        let names = [
+            "plain",
+            "quo\"te",
+            "back\\slash",
+            "ünï 日本 🌀",
+            "never-covered",
+        ];
+        let mut ops = Vec::new();
+        for name in names {
+            let schema = TableSchema::new(name, vec![Column::new("v", ValueType::Int)]);
+            ops.push(LogOp::CreateTable { schema });
+        }
+        for i in 0..40 {
+            let table = names[i % names.len()].to_string();
+            let row = vec![Value::Int(i as i64)];
+            ops.push(match i % 3 {
+                0 => LogOp::Insert {
+                    table,
+                    id: i as i64,
+                    row,
+                },
+                1 => LogOp::Update {
+                    table,
+                    id: i as i64,
+                    row,
+                },
+                _ => LogOp::Delete {
+                    table,
+                    id: i as i64,
+                },
+            });
+        }
+        let wal = Wal::open(&wal_path).unwrap();
+        wal.append(&ops).unwrap();
+        let before = lines(&wal_path);
+        // Each covered table's watermark is the seq of one of its own
+        // records, so the boundary record (`applied == seq`) is exercised.
+        let applied: BTreeMap<String, u64> = names[..4]
+            .iter()
+            .enumerate()
+            .map(|(k, name)| {
+                let mut seqs =
+                    (0..ops.len() as u64).filter(|&s| op_table(&ops[s as usize]) == *name);
+                (name.to_string(), seqs.nth(k + 1).unwrap())
+            })
+            .collect();
+        wal.truncate_keeping(&applied).unwrap();
+        // Survivors are exactly the records with `applied[table] < seq`,
+        // byte for byte (a fresh log's seq is its line number).
+        let expect: Vec<String> = before
+            .iter()
+            .zip(&ops)
+            .enumerate()
+            .filter(|(seq, (_, op))| applied.get(op_table(op)).is_none_or(|&s| s < *seq as u64))
+            .map(|(_, (line, _))| line.clone())
+            .collect();
+        assert!(!expect.is_empty() && expect.len() < before.len());
+        assert_eq!(lines(&wal_path), expect);
+        // The log stays appendable and decodable after the rewrite.
+        let seq = wal
+            .append(&[LogOp::Delete {
+                table: "plain".into(),
+                id: 1,
+            }])
+            .unwrap();
+        assert_eq!(seq, ops.len() as u64);
+        assert_eq!(
+            Wal::read_records(&wal_path).unwrap().len(),
+            expect.len() + 1
+        );
+    }
+
+    #[test]
+    fn truncation_rejects_regressions_and_unreadable_prefixes() {
+        let dir = tmpdir("scan_corrupt");
+        let wal_path = dir.join("db.wal");
+        let valid = |seq: u64| {
+            let op = LogOp::Delete {
+                table: "t".into(),
+                id: 1,
+            };
+            serde_json::to_string(&WalRecord { seq, op }).unwrap()
+        };
+        let regression = format!("{}\n{}\n{}\n", valid(3), valid(5), valid(5));
+        let cases = [
+            regression,
+            format!("{}\n", r#"{"seq":1,"op":{"Upsert":{"table":"t","id":1}}}"#),
+            format!("{}\n", r#"{"op":{"Delete":{"table":"t","id":1}},"seq":1}"#),
+            format!("{}\n", r#"{"seq":-1,"op":{"Delete":{"table":"t","id":1}}}"#),
+            format!(
+                "{}\n",
+                r#"{"seq":1,"op":{"Delete":{"table":"t\q","id":1}}}"#
+            ),
+            format!("{}\n", r#"{"seq":1,"op":{"Delete":{"table":"unterminated"#),
+            "not json\n".to_string(),
+        ];
+        for case in cases {
+            // A valid last line, so `Wal::open` (which decodes only the
+            // tail record) succeeds and truncation meets the bad line.
+            std::fs::write(&wal_path, format!("{case}{}\n", valid(9))).unwrap();
+            let wal = Wal::open(&wal_path).unwrap();
+            let res = wal.truncate_keeping(&BTreeMap::new());
+            assert!(
+                matches!(res, Err(DbError::Corrupt(_))),
+                "{case:?} gave {res:?}"
+            );
+        }
     }
 
     #[test]

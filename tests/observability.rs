@@ -130,6 +130,44 @@ fn metrics_endpoint_covers_all_three_tiers() {
     assert_eq!(again.status, 200);
 }
 
+/// A checkpoint re-encodes only the row chunks written since the previous
+/// one: after one point update of a multi-chunk table, exactly one chunk is
+/// encoded and every other chunk is copied from the chunk cache. No other
+/// test in this binary compacts, so the process-wide counters' deltas are
+/// exact here.
+#[test]
+fn checkpoint_after_a_point_update_encodes_one_row_chunk() {
+    use amp::simdb::{Column, Role, TableSchema, Value, ValueType};
+    let dir = tmpdir("snapshot_chunks");
+    let db = Db::open(dir.join("db.snap"), dir.join("db.wal")).unwrap();
+    db.define_role(Role::superuser("admin"));
+    let admin = db.connect("admin").unwrap();
+    let schema = TableSchema::new("archive", vec![Column::new("v", ValueType::Int)]);
+    admin.create_table(schema).unwrap();
+    // 2,000 rows: 8 chunks of up to 256 rows.
+    admin
+        .transaction(&["archive"], |tx| {
+            (0..2_000).try_for_each(|i| tx.insert("archive", &[("v", Value::Int(i))]).map(drop))
+        })
+        .unwrap();
+    db.compact().unwrap();
+
+    let encoded = obs::counter("simdb_snapshot_chunks_encoded_total");
+    let reused = obs::counter("simdb_snapshot_chunks_reused_total");
+    let (encoded_before, reused_before) = (encoded.get(), reused.get());
+    admin
+        .update("archive", 1_000, &[("v", Value::Int(-1))])
+        .unwrap();
+    db.compact().unwrap();
+    assert_eq!(
+        encoded.get() - encoded_before,
+        1,
+        "one row chunk re-encoded"
+    );
+    assert_eq!(reused.get() - reused_before, 7, "the other chunks reused");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A transient storm past the retry cap escalates to HOLD; the flight
 /// recorder retains the recent transient / hold event sequence and its
 /// dump names what went wrong.
